@@ -1,4 +1,4 @@
-"""Bench API: scheduler overhead vs. the direct evaluator path, and
+"""Bench API: scheduler overhead vs. the one-call quickstart, and
 the price of streaming.
 
 The plan API adds spec expansion, cache bookkeeping and result
@@ -24,7 +24,7 @@ import json
 import sys
 import time
 
-from repro.core.evaluation import Evaluator
+from repro.core.evaluation import evaluate_tools
 from repro.core.scheduler import Scheduler
 from repro.core.spec import EvaluationSpec
 
@@ -84,7 +84,7 @@ def measure_streaming_overhead(repeats=REPEATS):
 def test_scheduler_overhead(benchmark):
     from conftest import run_once
 
-    _, direct_s = _timed(lambda: Evaluator("sun-ethernet", **_TINY).run())
+    _, direct_s = _timed(lambda: evaluate_tools("sun-ethernet", **_TINY))
 
     spec = EvaluationSpec(**_TINY)
     scheduler = Scheduler()
@@ -94,7 +94,7 @@ def test_scheduler_overhead(benchmark):
     warm_s = warm[1]
 
     print()
-    print("direct Evaluator.run (cold): %8.1f ms" % (direct_s * 1e3))
+    print("evaluate_tools       (cold): %8.1f ms" % (direct_s * 1e3))
     print("Scheduler.run        (cold): %8.1f ms" % (cold_s * 1e3))
     print("Scheduler.run        (warm): %8.1f ms  <- scheduling overhead" % (warm_s * 1e3))
 

@@ -9,37 +9,37 @@ time), an application developer (usability) and a tool developer
     python examples/tool_selection.py
 """
 
-from repro.core import Evaluator, PRESET_PROFILES
+from repro.core import PRESET_PROFILES, EvaluationSpec, Scheduler
 
 
 def main() -> None:
-    evaluator = Evaluator(
-        "sun-ethernet",
+    spec = EvaluationSpec(
+        platforms=("sun-ethernet",),
         processors=4,
         tpl_sizes=(1024, 16384, 65536),
         global_sum_ints=25_000,
+        profiles=tuple(PRESET_PROFILES),
     )
-    print("Measuring once on %s ..." % evaluator.platform)
+    print("Measuring once on %s ..." % spec.platforms[0])
 
-    # Measure with the balanced profile, then re-weight the identical
-    # level scores under each preset.
-    base_report = evaluator.run(PRESET_PROFILES["balanced"])
-    level_scores = {e.tool: e.level_scores for e in base_report.evaluations}
+    # One measurement pass; every preset re-weights the same samples.
+    result = Scheduler().run(spec)
+    reports = {name: result.report(profile=name) for name in PRESET_PROFILES}
 
     print()
     header = "%-24s" % "profile"
-    tools = sorted(level_scores)
+    tools = sorted(spec.tools)
     for tool in tools:
         header += "%12s" % tool
     header += "   best"
     print(header)
     print("-" * len(header))
-    for name, profile in PRESET_PROFILES.items():
-        overall = {tool: profile.overall(scores) for tool, scores in level_scores.items()}
+    for name, report in reports.items():
+        overall = {e.tool: e.overall for e in report.evaluations}
         row = "%-24s" % name
         for tool in tools:
             row += "%12.3f" % overall[tool]
-        row += "   %s" % max(overall, key=lambda t: overall[t])
+        row += "   %s" % report.best_tool()
         print(row)
 
     print()

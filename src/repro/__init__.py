@@ -15,16 +15,16 @@ Quickstart
 
 from repro._version import __version__
 
-__all__ = ["__version__", "Evaluator", "WeightProfile", "evaluate_tools"]
+__all__ = ["__version__", "WeightProfile", "evaluate_tools"]
 
 
 def __getattr__(name):
     # Lazy imports keep `import repro.sim` cheap and avoid import cycles
     # between the convenience API and the subpackages implementing it.
-    if name in ("Evaluator", "evaluate_tools"):
-        from repro.core import evaluation
+    if name == "evaluate_tools":
+        from repro.core.evaluation import evaluate_tools
 
-        return getattr(evaluation, name)
+        return evaluate_tools
     if name == "WeightProfile":
         from repro.core.weights import WeightProfile
 

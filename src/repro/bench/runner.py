@@ -99,8 +99,8 @@ def run_evaluation(
         Optional callable receiving every
         :class:`~repro.core.progress.RunEvent` of the streaming run
         (job started/finished, cache hits, completion) — the hook for
-        progress bars and dashboards.  May fire from
-        executor-internal threads.
+        progress bars and dashboards.  Fires on the run's worker
+        thread.
     engine:
         ``"event"`` (default) simulates every cache miss;
         ``"analytic"`` answers every miss from the closed-form models
@@ -119,7 +119,8 @@ def run_evaluation(
     :class:`~repro.core.results.ResultSet`
         Carries per-job telemetry from this pass (``.telemetry``).
     """
-    from repro.core.scheduler import Scheduler, create_executor
+    from repro.core.executors import create_executor
+    from repro.core.scheduler import Scheduler
 
     # Context-manage the scheduler: its process-pool executor keeps a
     # persistent worker pool, which must not outlive this call.

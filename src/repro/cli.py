@@ -108,8 +108,7 @@ streaming execution:
   done/total, simulated vs cache-hit counts and an ETA — while stdout
   keeps only the report (safe to pipe/--json).  --backend picks the
   executor: serial, process (worker processes; the default for
-  --jobs > 1), async (an asyncio event loop, --jobs concurrent
-  simulations) or remote (see below).  --jobs auto sizes the pool to
+  --jobs > 1) or remote (see below).  --jobs auto sizes the pool to
   the machine's CPUs.  Ctrl-C cancels cooperatively: in-flight jobs
   finish and persist, so an interrupted sweep resumes over the same
   --cache-dir exactly like a killed one.
@@ -168,13 +167,12 @@ distributed execution:
                                "on ineligible jobs); auto computes where "
                                "eligible and simulates the rest")
     evaluate.add_argument("--backend",
-                          choices=("serial", "process", "async", "remote"),
+                          choices=("serial", "process", "remote"),
                           default=None,
                           help="executor backend (default: serial for "
-                               "--jobs 1, process otherwise; async runs "
-                               "--jobs simulations on an asyncio loop; "
-                               "remote coordinates `repro worker` "
-                               "processes over --queue)")
+                               "--jobs 1, process otherwise; remote "
+                               "coordinates `repro worker` processes "
+                               "over --queue)")
     evaluate.add_argument("--queue", metavar="DIR", default=None,
                           help="shared job-queue directory for "
                                "--backend remote (the one your "
@@ -389,7 +387,7 @@ evaluation as a service:
                        metavar="N|auto",
                        help="workers per evaluation run (default 1)")
     serve.add_argument("--backend",
-                       choices=("serial", "process", "async", "remote"),
+                       choices=("serial", "process", "remote"),
                        default=None,
                        help="executor backend per run (default: serial "
                             "for --jobs 1, process otherwise; remote "
@@ -601,7 +599,8 @@ def _run_with_progress(scheduler, spec, stream=None):
 
 
 def _cmd_evaluate(args) -> int:
-    from repro.core.scheduler import Scheduler, create_executor
+    from repro.core.executors import create_executor
+    from repro.core.scheduler import Scheduler
     from repro.core.spec import EvaluationSpec
     from repro.core.weights import PRESET_PROFILES
     from repro.errors import ReproError
@@ -1003,7 +1002,8 @@ def _cmd_serve(args) -> int:
     import signal
 
     from repro.core.cache import ResultCache
-    from repro.core.scheduler import Scheduler, create_executor
+    from repro.core.executors import create_executor
+    from repro.core.scheduler import Scheduler
     from repro.errors import ReproError
     from repro.service import JobRegistry, RunStore, ServiceServer
 

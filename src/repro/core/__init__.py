@@ -10,12 +10,7 @@ from repro.core.cache import (
     job_key,
 )
 from repro.core.criteria import ADL_CRITERIA, Criterion, NS, PS, Rating, WS
-from repro.core.evaluation import (
-    EvaluationReport,
-    Evaluator,
-    ToolEvaluation,
-    evaluate_tools,
-)
+from repro.core.evaluation import EvaluationReport, ToolEvaluation, evaluate_tools
 from repro.core.jobs import MeasurementJob, execute_job
 from repro.core.levels import ADL, APL, EvaluationLevel, STANDARD_LEVELS, TPL
 from repro.core.metrics import (
@@ -31,6 +26,9 @@ from repro.core.executors import (
     EXECUTOR_BACKENDS,
     Executor,
     JobOutcome,
+    ProcessPoolExecutor,
+    SerialExecutor,
+    create_executor,
     resolve_workers,
 )
 from repro.core.progress import (
@@ -41,15 +39,7 @@ from repro.core.progress import (
     RunCompleted,
     RunEvent,
 )
-from repro.core.scheduler import (
-    AsyncExecutor,
-    JobTelemetry,
-    ProcessPoolExecutor,
-    RunHandle,
-    Scheduler,
-    SerialExecutor,
-    create_executor,
-)
+from repro.core.scheduler import JobTelemetry, RunHandle, Scheduler
 from repro.core.spec import DEFAULT_APP_PARAMS, DEFAULT_TPL_SIZES, EvaluationSpec
 from repro.core.stats import SampleStats, summarize, t_critical
 from repro.core.usability import USABILITY_MATRIX, adl_score, usability_ratings
@@ -67,7 +57,6 @@ __all__ = [
     "ADL_CRITERIA",
     "APL",
     "APPLICATION_DEVELOPER",
-    "AsyncExecutor",
     "BALANCED",
     "CACHE_SCHEMA_VERSION",
     "CacheBackend",
@@ -82,7 +71,6 @@ __all__ = [
     "EvaluationLevel",
     "EvaluationReport",
     "EvaluationSpec",
-    "Evaluator",
     "JobFinished",
     "JobOutcome",
     "JobStarted",

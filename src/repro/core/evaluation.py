@@ -1,36 +1,34 @@
-"""The multi-level evaluator: compatibility facade over the plan API.
+"""The multi-level evaluation's outcome, and the one-call quickstart.
 
-The methodology itself now lives in three composable layers:
+The methodology itself lives in three composable layers:
 
 * :mod:`repro.core.spec` — :class:`EvaluationSpec`, the declarative
   grid (tools x platforms x sizes x apps x profiles x seeds) that
   expands into hashable :class:`~repro.core.jobs.MeasurementJob`\\ s;
 * :mod:`repro.core.scheduler` — :class:`Scheduler`, which executes
-  jobs through a pluggable serial or process-pool executor behind a
-  content-keyed result cache, so nothing is ever simulated twice;
+  jobs through a pluggable executor behind a content-keyed result
+  cache, so nothing is ever simulated twice;
 * :mod:`repro.core.results` — :class:`ResultSet`, which re-weights
   one set of cached samples into a scored
   :class:`EvaluationReport` per (platform, profile, seed) cell.
 
-:class:`Evaluator` and :func:`evaluate_tools` are thin shims kept for
-the paper-shaped single-platform workflow: they build a one-cell spec,
-run it through a private scheduler (so repeated calls on one evaluator
-reuse measurements), and return the classic report — objective 1 of
-the paper: "enabling the selection of the most appropriate PDC tools
-for a particular application class and system configuration".
+This module holds the report types and :func:`evaluate_tools`, the
+paper-shaped single-platform workflow composed from those layers —
+objective 1 of the paper: "enabling the selection of the most
+appropriate PDC tools for a particular application class and system
+configuration".
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.levels import EvaluationLevel
 from repro.core.metrics import MeasurementSet
 from repro.core.weights import BALANCED, WeightProfile
-from repro.errors import EvaluationError
-from repro.tools.registry import PAPER_TOOL_NAMES, TOOL_CLASSES
+from repro.tools.registry import PAPER_TOOL_NAMES
 
-__all__ = ["ToolEvaluation", "EvaluationReport", "Evaluator", "evaluate_tools"]
+__all__ = ["ToolEvaluation", "EvaluationReport", "evaluate_tools"]
 
 
 class ToolEvaluation(object):
@@ -102,146 +100,20 @@ class EvaluationReport(object):
         return render_report(self)
 
 
-class Evaluator(object):
-    """Configures and runs the three-level evaluation on one platform.
-
-    A shim over the plan API: parameters become a one-platform
-    :class:`~repro.core.spec.EvaluationSpec` and all measurement goes
-    through a private :class:`~repro.core.scheduler.Scheduler`, so
-    calling :meth:`measure_tpl`, :meth:`measure_apl` and :meth:`run`
-    (even with several profiles) simulates each job exactly once.
-
-    Parameters
-    ----------
-    platform:
-        Catalog platform name (e.g. ``"sun-ethernet"``).
-    processors:
-        Ranks for the collective/application benchmarks (default 4).
-    tools:
-        Tools to evaluate (default: the paper's three).
-    tpl_sizes:
-        Message sizes for the primitive sweeps.
-    global_sum_ints:
-        Vector length for the global-sum benchmark.
-    app_params:
-        Per-application workload overrides.
-    seed:
-        Root seed for all runs.
-    """
-
-    def __init__(
-        self,
-        platform: str,
-        processors: int = 4,
-        tools: Sequence[str] = PAPER_TOOL_NAMES,
-        tpl_sizes: Optional[Sequence[int]] = None,
-        global_sum_ints: int = 25_000,
-        apps: Optional[Sequence[str]] = None,
-        app_params: Optional[Dict[str, dict]] = None,
-        seed: int = 0,
-    ) -> None:
-        from repro.core.scheduler import Scheduler
-        from repro.core.spec import DEFAULT_TPL_SIZES, EvaluationSpec
-
-        # Check the live registry so tools registered at run time
-        # (examples/custom_tool.py) evaluate like the built-ins.
-        unknown = [tool for tool in tools if tool not in TOOL_CLASSES]
-        if unknown:
-            raise EvaluationError("unknown tools: %s" % ", ".join(unknown))
-        if processors < 2:
-            raise EvaluationError("evaluation needs at least 2 processors")
-        self._spec = EvaluationSpec(
-            tools=tuple(tools),
-            platforms=(platform,),
-            processors=processors,
-            tpl_sizes=tuple(tpl_sizes) if tpl_sizes is not None else DEFAULT_TPL_SIZES,
-            global_sum_ints=global_sum_ints,
-            apps=tuple(apps) if apps is not None else None,
-            app_params=dict(app_params) if app_params else {},
-            seeds=(seed,),
-        )
-        self._scheduler = Scheduler()
-
-    # -- spec views kept as attributes of the historical API.  The
-    # configuration is frozen at construction: these are read-only
-    # copies, and mutating them does not change what runs. ----------
-
-    @property
-    def platform(self) -> str:
-        return self._spec.platforms[0]
-
-    @property
-    def processors(self) -> int:
-        return self._spec.processors
-
-    @property
-    def tools(self) -> List[str]:
-        return list(self._spec.tools)
-
-    @property
-    def tpl_sizes(self) -> List[int]:
-        return list(self._spec.tpl_sizes)
-
-    @property
-    def global_sum_ints(self) -> int:
-        return self._spec.global_sum_ints
-
-    @property
-    def apps(self) -> List[str]:
-        return list(self._spec.apps)
-
-    @property
-    def app_params(self) -> Dict[str, dict]:
-        return {name: dict(params) for name, params in self._spec.app_params.items()}
-
-    @property
-    def seed(self) -> int:
-        return self._spec.seeds[0]
-
-    def _results(self):
-        """Run (or re-read) every job of the spec through the cache."""
-        return self._scheduler.run(self._spec)
-
-    # ------------------------------------------------------------------
-    # Level measurements
-    # ------------------------------------------------------------------
-
-    def measure_tpl(self) -> List[MeasurementSet]:
-        """All primitive measurement sets (one per primitive x size).
-
-        Runs only the TPL jobs (not the whole spec), so a TPL-only
-        query never simulates the applications.
-        """
-        from repro.core.results import collect_tpl_sets
-
-        values = self._scheduler.run_jobs(self._spec.tpl_jobs(self.platform, self.seed))
-        return collect_tpl_sets(self._spec, self.platform, self.seed, values)
-
-    def measure_apl(self) -> List[MeasurementSet]:
-        """Application measurement sets (one per application)."""
-        from repro.core.results import collect_apl_sets
-
-        values = self._scheduler.run_jobs(self._spec.apl_jobs(self.platform, self.seed))
-        return collect_apl_sets(self._spec, self.platform, self.seed, values)
-
-    # ------------------------------------------------------------------
-    # Scoring
-    # ------------------------------------------------------------------
-
-    def run(self, profile: WeightProfile = BALANCED) -> EvaluationReport:
-        """Measure everything (once) and produce the weighted report."""
-        return self._results().report(self.platform, profile, self.seed)
-
-
 def evaluate_tools(
     platform: str = "sun-ethernet",
     processors: int = 4,
     tools: Sequence[str] = PAPER_TOOL_NAMES,
     profile: WeightProfile = BALANCED,
     seed: int = 0,
-    **evaluator_options,
+    **spec_options,
 ) -> EvaluationReport:
     """One-call evaluation: the library's quickstart entry point.
+
+    Runs a one-platform :class:`~repro.core.spec.EvaluationSpec`
+    through a fresh :class:`~repro.core.scheduler.Scheduler` and scores
+    it under ``profile``.  ``spec_options`` are further spec fields
+    (``tpl_sizes``, ``global_sum_ints``, ``apps``, ``app_params``).
 
     Examples
     --------
@@ -249,7 +121,14 @@ def evaluate_tools(
     >>> report.best_tool()
     'p4'
     """
-    evaluator = Evaluator(
-        platform, processors=processors, tools=tools, seed=seed, **evaluator_options
+    from repro.core.scheduler import Scheduler
+    from repro.core.spec import EvaluationSpec
+
+    spec = EvaluationSpec(
+        tools=tools,
+        platforms=(platform,),
+        processors=processors,
+        seeds=(seed,),
+        **spec_options,
     )
-    return evaluator.run(profile)
+    return Scheduler().run(spec).report(platform, profile, seed)

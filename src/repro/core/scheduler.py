@@ -8,8 +8,8 @@ so execution is embarrassingly parallel: any
 :class:`~repro.core.executors.Executor` backend can run it
 (:class:`~repro.core.executors.SerialExecutor` in-process,
 :class:`~repro.core.executors.ProcessPoolExecutor` over worker
-processes, :class:`~repro.core.executors.AsyncExecutor` on an asyncio
-loop).  Finished samples land in a
+processes, ``RemoteExecutor`` over ``repro worker`` processes).
+Finished samples land in a
 :class:`~repro.core.cache.ResultCache` keyed by the job's content
 address — pass ``cache_dir=`` for a persistent on-disk cache a killed
 (or cancelled) sweep resumes from, and ``shards=`` to spread it over
@@ -32,8 +32,9 @@ thread while the handle exposes
 
 :meth:`Scheduler.run` and :meth:`Scheduler.run_jobs` are thin blocking
 wrappers over :meth:`start`, so the classic call sites (CLI, bench
-runner, the ``Evaluator`` shim) keep their exact semantics — including
-store-as-completed cache persistence and the golden fixtures.
+runner, :func:`~repro.core.evaluation.evaluate_tools`) keep their
+exact semantics — including store-as-completed cache persistence and
+the golden fixtures.
 
 Every executed or cache-served job leaves a :class:`JobTelemetry`
 record (wall time, executor, hit/miss, attempt count) in
@@ -51,19 +52,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, Optional
 
-from repro.core.cache import MISSING, CacheBackend, ResultCache
-from repro.core.executors import (
-    AsyncExecutor,
-    EXECUTOR_BACKENDS,
-    Executor,
-    JobOutcome,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    create_executor,
-    execute_job_chunk,
-    execute_job_instrumented,
-    resolve_workers,
-)
+from repro.core.cache import ResultCache
+from repro.core.executors import Executor, JobOutcome, SerialExecutor
 from repro.core.jobs import MeasurementJob
 from repro.core.progress import (
     CacheHit,
@@ -75,33 +65,14 @@ from repro.core.progress import (
 )
 from repro.errors import EvaluationError, RunCancelled
 
-__all__ = [
-    "ResultCache",
-    "JobOutcome",
-    "JobTelemetry",
-    "Executor",
-    "SerialExecutor",
-    "ProcessPoolExecutor",
-    "AsyncExecutor",
-    "EXECUTOR_BACKENDS",
-    "create_executor",
-    "resolve_workers",
-    "execute_job_instrumented",
-    "execute_job_chunk",
-    "RunHandle",
-    "Scheduler",
-]
-
-# Backward-compatible alias: the sentinel moved to repro.core.cache.
-_MISSING = MISSING
+__all__ = ["JobTelemetry", "RunHandle", "Scheduler"]
 
 
 @dataclass(frozen=True)
 class JobTelemetry:
     """Provenance of one sample in one scheduler pass.
 
-    ``wall_seconds`` is ``None`` when the executor could not report
-    per-job timing (a custom executor without ``submit``); cache hits
+    ``wall_seconds`` is the job's execution time; cache hits
     record ``0.0`` — the sample cost nothing this pass.  ``engine``
     records how the sample was produced — ``"event"`` for a
     discrete-event simulation, ``"analytic"`` for a closed-form
@@ -193,7 +164,7 @@ class RunHandle(object):
         )
         self._thread.start()
 
-    # -- worker side (called from the run thread / executor threads) --
+    # -- worker side (called from the run thread) ---------------------
 
     def _work(self, jobs: Iterable[MeasurementJob]) -> None:
         try:
@@ -411,16 +382,10 @@ class Scheduler(object):
     ----------
     executor:
         Any :class:`~repro.core.executors.Executor` (default serial).
-        Pre-protocol executors still work: objects offering only
-        ``run_instrumented(jobs, retries)`` or ``run(jobs)`` are
-        adapted (the latter without per-job timing or streaming).
     cache:
         A shared :class:`~repro.core.cache.ResultCache`; pass one
         cache to several schedulers (or several ``run`` calls) to
         share measurements across sweeps.
-    cache_backend:
-        Alternatively, a bare :class:`~repro.core.cache.CacheBackend`
-        to wrap in a fresh ``ResultCache``.
     cache_dir:
         Alternatively, a directory for a persistent on-disk cache
         (optionally split over ``shards`` sub-stores; the default
@@ -457,18 +422,15 @@ class Scheduler(object):
 
     def __init__(
         self,
-        executor=None,
+        executor: Optional[Executor] = None,
         cache: Optional[ResultCache] = None,
-        cache_backend: Optional[CacheBackend] = None,
         cache_dir: Optional[str] = None,
         shards: Optional[int] = None,
         retries: int = 1,
         engine: str = "event",
     ) -> None:
-        if sum(option is not None for option in (cache, cache_backend, cache_dir)) > 1:
-            raise EvaluationError(
-                "pass at most one of cache=, cache_backend= and cache_dir="
-            )
+        if cache is not None and cache_dir is not None:
+            raise EvaluationError("pass at most one of cache= and cache_dir=")
         if retries < 1:
             raise EvaluationError("retries must be >= 1")
         if engine not in self.ENGINES:
@@ -490,8 +452,6 @@ class Scheduler(object):
         self.executor = executor if executor is not None else SerialExecutor()
         if cache is not None:
             self.cache = cache
-        elif cache_backend is not None:
-            self.cache = ResultCache(cache_backend)
         elif cache_dir is not None:
             self.cache = ResultCache.on_disk(cache_dir, shards=shards)
         else:
@@ -504,32 +464,11 @@ class Scheduler(object):
         #: has served (latest pass wins on re-runs).
         self.telemetry: Dict[MeasurementJob, JobTelemetry] = {}
 
-    @property
-    def executor_name(self) -> str:
-        return getattr(self.executor, "name", type(self.executor).__name__)
-
-    def _execute(self, pending: Iterable[MeasurementJob]) -> Iterator[JobOutcome]:
-        submit = getattr(self.executor, "submit", None)
-        if submit is not None:
-            return iter(submit(pending, retries=self.retries))
-        # Pre-protocol executors: `run_instrumented` is the old
-        # streaming spelling; plain `run(jobs)` executors predate
-        # telemetry (and streaming) entirely — hand them a real list;
-        # samples come back untimed, so wall_seconds is honestly
-        # unknown.
-        runner = getattr(self.executor, "run_instrumented", None)
-        if runner is not None:
-            return iter(runner(pending, retries=self.retries))
-        return iter(
-            JobOutcome(value, None, 1) for value in self.executor.run(list(pending))
-        )
-
     def _drive(self, jobs: Iterable[MeasurementJob], handle: RunHandle) -> None:
         """The streaming core: dedupe, consult the cache, dispatch
         misses, persist outcomes as they arrive, narrate everything
-        through ``handle``.  Runs on the handle's worker thread (the
-        job iterable itself may be consumed from an executor-internal
-        thread — :class:`~repro.core.executors.AsyncExecutor`)."""
+        through ``handle``.  Runs on the handle's worker thread, which
+        is also where every executor consumes the job iterable."""
         in_flight: deque = deque()
         seen = set()
         analytic = self.analytic
@@ -539,9 +478,7 @@ class Scheduler(object):
             vectorized model call per curve, no executor round-trip.
             The jobs were announced (``_job_started``) in stream order
             as they were collected, so result ordering matches the
-            event engine's exactly.  Runs on whatever thread is
-            consuming ``misses()``; every handle/cache/telemetry
-            surface it touches is locked."""
+            event engine's exactly."""
             start = time.perf_counter()
             values = analytic.compute_many(batch)
             wall = (time.perf_counter() - start) / len(batch)
@@ -587,7 +524,7 @@ class Scheduler(object):
                     seen.add(job)
                     if job in cached:
                         self.telemetry[job] = JobTelemetry(
-                            job, self.executor_name, True, 0.0, 0
+                            job, self.executor.name, True, 0.0, 0
                         )
                         handle._cache_hit(job, cached[job])
                         continue
@@ -615,16 +552,16 @@ class Scheduler(object):
         # (or crashed, or cancelled) mid-batch keeps every job it
         # finished, which is what makes --cache-dir resume skip all
         # completed work.
-        for outcome in self._execute(misses()):
+        for outcome in self.executor.submit(misses(), retries=self.retries):
             if not in_flight:
                 raise EvaluationError(
                     "executor %s returned more outcomes than jobs"
-                    % self.executor_name
+                    % self.executor.name
                 )
             job = in_flight.popleft()
             self.cache.store(job, outcome.value)
             self.telemetry[job] = JobTelemetry(
-                job, self.executor_name, False, outcome.wall_seconds, outcome.attempts
+                job, self.executor.name, False, outcome.wall_seconds, outcome.attempts
             )
             self.simulations_run += 1
             handle._job_finished(job, outcome)
@@ -637,7 +574,7 @@ class Scheduler(object):
             else:
                 raise EvaluationError(
                     "executor %s returned %d outcome(s) too few"
-                    % (self.executor_name, len(in_flight))
+                    % (self.executor.name, len(in_flight))
                 )
         handle._completed()
 
@@ -653,8 +590,8 @@ class Scheduler(object):
 
         Returns immediately; the sweep executes on a background
         thread.  ``on_event`` (optional) is called synchronously for
-        every :class:`~repro.core.progress.RunEvent` — note it may
-        fire from executor-internal threads.  ``buffer_events=False``
+        every :class:`~repro.core.progress.RunEvent` on the run's
+        worker thread.  ``buffer_events=False``
         disables the :meth:`RunHandle.events` replay buffer (O(1)
         event memory; ``on_event`` and ``progress()`` still work) —
         what the blocking wrappers do for huge grids.
@@ -719,9 +656,7 @@ class Scheduler(object):
 
     def close(self) -> None:
         """Release executor resources (a persistent worker pool, if any)."""
-        close = getattr(self.executor, "close", None)
-        if close is not None:
-            close()
+        self.executor.close()
 
     def __enter__(self) -> "Scheduler":
         return self

@@ -168,6 +168,10 @@ class JobQueue(object):
             claim_path = self._path(_CLAIMS, ticket)
             try:
                 os.replace(self._path(_JOBS, ticket), claim_path)
+                # The rename keeps the enqueue-time mtime; the lease
+                # starts now, or a ticket that waited in jobs/ longer
+                # than lease_timeout would be reclaimable on arrival.
+                os.utime(claim_path)
             except OSError:
                 continue  # lost the race (or a revocation) — next ticket
             payload = _read_json(claim_path)

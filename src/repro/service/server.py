@@ -189,7 +189,12 @@ class ServiceServer(object):
             if not sep:
                 raise _HttpError(400, "malformed header line %r" % line)
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        try:
+            length = int(headers.get("content-length", "0") or "0")
+        except ValueError:
+            raise _HttpError(
+                400, "malformed content-length %r" % headers["content-length"]
+            )
         if length < 0 or length > MAX_BODY_BYTES:
             raise _HttpError(400, "unacceptable content-length %d" % length)
         body = await reader.readexactly(length) if length else b""

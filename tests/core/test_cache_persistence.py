@@ -10,12 +10,8 @@ never duplicate a simulation.
 import pytest
 
 from repro.core.cache import DiskBackend, ResultCache, ShardedBackend
-from repro.core.scheduler import (
-    JobTelemetry,
-    ProcessPoolExecutor,
-    Scheduler,
-    SerialExecutor,
-)
+from repro.core.executors import ProcessPoolExecutor, SerialExecutor
+from repro.core.scheduler import JobTelemetry, Scheduler
 from repro.core.spec import EvaluationSpec
 from repro.errors import EvaluationError
 
@@ -38,11 +34,11 @@ class TestSchedulerCacheOptions:
         with pytest.raises(EvaluationError):
             Scheduler(cache=ResultCache(), cache_dir=str(tmp_path))
         with pytest.raises(EvaluationError):
-            Scheduler(cache_backend=DiskBackend(str(tmp_path)),
+            Scheduler(cache=ResultCache(DiskBackend(str(tmp_path))),
                       cache_dir=str(tmp_path))
 
-    def test_cache_backend_option(self, tmp_path):
-        scheduler = Scheduler(cache_backend=DiskBackend(str(tmp_path)))
+    def test_cache_over_a_disk_backend(self, tmp_path):
+        scheduler = Scheduler(cache=ResultCache(DiskBackend(str(tmp_path))))
         assert isinstance(scheduler.cache.backend, DiskBackend)
 
     def test_retries_validated(self):
@@ -216,22 +212,21 @@ class TestTelemetry:
             for record in result.telemetry.values()
         )
 
-    def test_uninstrumented_executor_still_works(self):
-        """Custom executors with only ``run(jobs)`` predate telemetry:
-        samples flow, wall time is honestly unknown."""
+    def test_untimed_telemetry_exports_zero_wall_time(self):
+        """Records without a wall time (``wall_seconds=None``) sum to
+        zero in the export summary instead of failing."""
+        import dataclasses
 
-        class BareExecutor:
-            def run(self, jobs):
-                from repro.core.jobs import execute_job
-                return [execute_job(job) for job in jobs]
+        from repro.core.results import ResultSet
 
         spec = tiny_spec(tools=("p4",))
-        scheduler = Scheduler(executor=BareExecutor())
-        result = scheduler.run(spec)
-        assert result.values
-        assert all(record.wall_seconds is None
-                   for record in result.telemetry.values())
-        assert result.to_dict()["telemetry"]["summary"]["total_wall_seconds"] == 0.0
+        result = Scheduler().run(spec)
+        untimed = {
+            job: dataclasses.replace(record, wall_seconds=None)
+            for job, record in result.telemetry.items()
+        }
+        export = ResultSet(spec, result.values, telemetry=untimed).to_dict()
+        assert export["telemetry"]["summary"]["total_wall_seconds"] == 0.0
 
 
 class TestRetries:

@@ -6,7 +6,6 @@ from repro.core import (
     ADL,
     APL,
     END_USER,
-    Evaluator,
     TPL,
     TOOL_DEVELOPER,
     evaluate_tools,
@@ -38,11 +37,11 @@ def report():
 class TestEvaluator:
     def test_unknown_tool_rejected(self):
         with pytest.raises(EvaluationError):
-            Evaluator("sun-ethernet", tools=["p4", "linda"])
+            evaluate_tools("sun-ethernet", tools=["p4", "linda"])
 
     def test_too_few_processors_rejected(self):
         with pytest.raises(EvaluationError):
-            Evaluator("sun-ethernet", processors=1)
+            evaluate_tools("sun-ethernet", processors=1)
 
     def test_report_covers_all_tools(self, report):
         assert set(report.ranking()) == {"p4", "pvm", "express"}

@@ -3,9 +3,9 @@
 One parametrized suite pins the contract of
 ``Executor.submit(jobs, retries) -> Iterator[JobOutcome]`` — ordering,
 laziness, telemetry fields, retry semantics, lifecycle, recovery —
-against the three built-in backends.  A future backend (remote
-workers over the sharded cache) should pass by adding itself to
-``BACKENDS`` and nothing else.
+against the in-process backends in ``BACKENDS``.
+``tests/distributed/test_remote_protocol.py`` runs the same suite,
+unmodified, against the remote backend.
 """
 
 import multiprocessing
@@ -13,13 +13,8 @@ import multiprocessing
 import pytest
 
 from repro.core.jobs import execute_job
-from repro.core.scheduler import (
-    AsyncExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    Scheduler,
-    SerialExecutor,
-)
+from repro.core.executors import Executor, ProcessPoolExecutor, SerialExecutor
+from repro.core.scheduler import Scheduler
 from repro.core.spec import EvaluationSpec
 from repro.errors import EvaluationError
 
@@ -40,7 +35,9 @@ def tiny_spec(**overrides):
 BACKENDS = {
     "serial": lambda: SerialExecutor(),
     "process": lambda: ProcessPoolExecutor(max_workers=2),
-    "async": lambda: AsyncExecutor(max_workers=2),
+    # `--jobs 1 --backend process`: one worker, so the smallest
+    # admission window a pool can have.
+    "process-single": lambda: ProcessPoolExecutor(max_workers=1),
 }
 
 
@@ -75,7 +72,6 @@ class TestProtocolSurface:
     def test_capability_flags(self, executor):
         assert isinstance(executor, Executor)
         assert isinstance(executor.name, str) and executor.name
-        assert executor.supports_streaming is True
         assert isinstance(executor.max_workers, int)
         assert executor.max_workers >= 1
 
@@ -156,14 +152,14 @@ class TestSubmitSemantics:
             if len(pulled) == before:
                 break  # admission has quiesced against the stall
         # Window accounting per backend: serial pulls one at a time;
-        # process keeps window chunks of chunk_jobs in flight; async
-        # holds one window in flight plus one queued.
+        # process keeps window chunks of chunk_jobs in flight; remote
+        # keeps one window of tickets published.
         if type(executor) is SerialExecutor:
             bound = 2
         elif isinstance(executor, ProcessPoolExecutor):
             bound = executor.max_workers * executor.window_factor * executor.chunk_jobs + executor.chunk_jobs
         else:
-            bound = 2 * executor.max_workers * executor.window_factor + 2
+            bound = executor.max_workers * executor.window_factor + 1
         assert len(pulled) <= bound, (
             "%s ran %d jobs ahead of a stalled consumer (bound %d)"
             % (executor.name, len(pulled), bound)

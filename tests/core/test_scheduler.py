@@ -3,13 +3,16 @@
 import pytest
 
 from repro.core import evaluate_tools
-from repro.core.scheduler import (
+from repro.core.cache import ResultCache
+from repro.core.executors import (
+    Executor,
+    JobOutcome,
     ProcessPoolExecutor,
-    ResultCache,
-    Scheduler,
     SerialExecutor,
     create_executor,
+    resolve_workers,
 )
+from repro.core.scheduler import Scheduler
 from repro.core.spec import EvaluationSpec
 from repro.core.weights import WeightProfile
 from repro.errors import EvaluationError
@@ -26,6 +29,10 @@ def tiny_spec(**overrides):
     kwargs = dict(_TINY)
     kwargs.update(overrides)
     return EvaluationSpec(**kwargs)
+
+
+def values(executor, jobs):
+    return [outcome.value for outcome in executor.submit(jobs)]
 
 
 class TestCache:
@@ -85,8 +92,6 @@ class TestExecutors:
     def test_create_executor_auto_and_backends(self):
         import os
 
-        from repro.core.scheduler import AsyncExecutor, resolve_workers
-
         cpus = os.cpu_count() or 1
         assert resolve_workers("auto") == cpus
         assert resolve_workers(None) == cpus
@@ -98,9 +103,7 @@ class TestExecutors:
             assert auto.max_workers == cpus
         assert isinstance(create_executor(2, backend="serial"), SerialExecutor)
         assert isinstance(create_executor(1, backend="process"), ProcessPoolExecutor)
-        asynchronous = create_executor(3, backend="async")
-        assert isinstance(asynchronous, AsyncExecutor)
-        assert asynchronous.max_workers == 3
+        assert create_executor(3, backend="process").max_workers == 3
 
     def test_serial_and_parallel_agree(self):
         """Simulations are deterministic, so the backend is invisible."""
@@ -129,17 +132,17 @@ class TestPersistentPool:
     def test_close_is_idempotent_and_allows_restart(self):
         executor = ProcessPoolExecutor(max_workers=2)
         jobs = tiny_spec(tools=("p4",)).jobs()[:2]
-        first = executor.run(jobs)
+        first = values(executor, jobs)
         executor.close()
         assert executor._pool is None
         executor.close()  # no-op
         # A closed executor lazily builds a fresh pool on reuse.
-        assert executor.run(jobs) == first
+        assert values(executor, jobs) == first
         executor.close()
 
     def test_context_manager_shuts_down(self):
         with ProcessPoolExecutor(max_workers=2) as executor:
-            executor.run(tiny_spec(tools=("p4",)).jobs()[:2])
+            values(executor, tiny_spec(tools=("p4",)).jobs()[:2])
             assert executor._pool is not None
         assert executor._pool is None
 
@@ -149,10 +152,10 @@ class TestPersistentPool:
             assert scheduler.executor._pool is not None
         assert scheduler.executor._pool is None
 
-    def test_legacy_entry_points_delegate_to_submit(self):
-        """`run` and `run_instrumented` are conveniences over the one
-        protocol method — a subclass only ever implements submit."""
-        from repro.core.scheduler import Executor, JobOutcome
+    def test_submit_only_executor_runs_through_scheduler(self):
+        """``submit`` is the one protocol method: a subclass that
+        implements nothing else serves the scheduler, which forwards
+        its retry budget and records the backend's name and attempts."""
 
         class Doubler(Executor):
             name = "doubler"
@@ -161,11 +164,13 @@ class TestPersistentPool:
                 for job in jobs:
                     yield JobOutcome(2.0, 0.0, retries)
 
-        executor = Doubler()
         jobs = tiny_spec(tools=("p4",)).jobs()[:3]
-        assert executor.run(jobs) == [2.0, 2.0, 2.0]
-        outcomes = list(executor.run_instrumented(jobs, retries=4))
-        assert [outcome.attempts for outcome in outcomes] == [4, 4, 4]
+        scheduler = Scheduler(executor=Doubler(), retries=4)
+        assert scheduler.run_jobs(jobs) == {job: 2.0 for job in jobs}
+        assert scheduler.simulations_run == 3
+        records = [scheduler.telemetry[job] for job in jobs]
+        assert [record.executor for record in records] == ["doubler"] * 3
+        assert [record.attempts for record in records] == [4, 4, 4]
 
     def test_broken_pool_is_dropped_not_reused(self):
         """A pool poisoned by a dead worker must not be served again:
@@ -173,9 +178,6 @@ class TestPersistentPool:
         import concurrent.futures
 
         class BrokenPool(object):
-            def map(self, *args, **kwargs):
-                raise concurrent.futures.BrokenExecutor("worker died")
-
             def submit(self, *args, **kwargs):
                 raise concurrent.futures.BrokenExecutor("worker died")
 
@@ -187,14 +189,10 @@ class TestPersistentPool:
         try:
             executor._pool = BrokenPool()
             with pytest.raises(concurrent.futures.BrokenExecutor):
-                executor.run(jobs)
+                list(executor.submit(jobs))
             assert executor._pool is None  # poisoned pool dropped
-            executor._pool = BrokenPool()
-            with pytest.raises(concurrent.futures.BrokenExecutor):
-                list(executor.run_instrumented(jobs))
-            assert executor._pool is None
             # The next pass transparently builds a working pool.
-            assert executor.run(jobs)
+            assert values(executor, jobs)
         finally:
             executor.close()
 
@@ -209,7 +207,6 @@ class TestAbandonedStream:
         the first ``prefilled_chunks`` resolve immediately, the rest
         stay pending (as if workers were still busy)."""
         import concurrent.futures
-        from repro.core.scheduler import JobOutcome
 
         executor = ProcessPoolExecutor(max_workers=2)
         submitted = []
@@ -233,7 +230,7 @@ class TestAbandonedStream:
     def test_generator_close_cancels_queued_chunks(self):
         executor, submitted = self._executor_with_fake_pool()
         jobs = tiny_spec(tools=("p4", "pvm", "express")).jobs()
-        stream = executor.run_instrumented(jobs)
+        stream = executor.submit(jobs)
         next(stream)  # consume one outcome, abandon the rest
         stream.close()
         # The window was filled (several chunks in flight) and every
@@ -244,7 +241,7 @@ class TestAbandonedStream:
     def test_exception_mid_sweep_cancels_queued_chunks(self):
         executor, submitted = self._executor_with_fake_pool()
         jobs = tiny_spec(tools=("p4", "pvm", "express")).jobs()
-        stream = executor.run_instrumented(jobs)
+        stream = executor.submit(jobs)
         next(stream)
         with pytest.raises(RuntimeError):
             stream.throw(RuntimeError("consumer died mid-sweep"))
@@ -254,7 +251,7 @@ class TestAbandonedStream:
         """Normal completion leaves no pending futures to cancel."""
         with ProcessPoolExecutor(max_workers=2) as executor:
             jobs = tiny_spec(tools=("p4",)).jobs()[:3]
-            outcomes = list(executor.run_instrumented(jobs))
+            outcomes = list(executor.submit(jobs))
         assert len(outcomes) == 3
         assert all(outcome.value is not None for outcome in outcomes)
 
@@ -289,11 +286,12 @@ class TestStreamingExpansion:
     def test_short_executor_is_an_error(self):
         """An executor that drops outcomes cannot pass silently."""
 
-        class Lossy(object):
+        class Lossy(Executor):
             name = "lossy"
 
-            def run(self, jobs):
-                return [0.0 for job in jobs][:-1]
+            def submit(self, jobs, retries=1):
+                for _ in list(jobs)[:-1]:
+                    yield JobOutcome(0.0, 0.0, 1)
 
         scheduler = Scheduler(executor=Lossy())
         with pytest.raises(EvaluationError, match="too few"):
@@ -384,35 +382,3 @@ class TestResultSet:
         assert data["spec"] == spec.to_dict()
         assert len(data["samples"]) == spec.job_count()
         assert "sun-atm-lan/end-user/seed0" in data["scores"]
-
-
-class TestEvaluatorShim:
-    def test_repeated_runs_reuse_measurements(self):
-        from repro.core import Evaluator, PRESET_PROFILES
-
-        evaluator = Evaluator("sun-ethernet", **_TINY)
-        evaluator.run()
-        simulated = evaluator._scheduler.simulations_run
-        evaluator.run(PRESET_PROFILES["end-user"])
-        evaluator.measure_tpl()
-        evaluator.measure_apl()
-        assert evaluator._scheduler.simulations_run == simulated
-
-    def test_config_views_are_copies(self):
-        """Mutating the compat attributes cannot desync the spec."""
-        from repro.core import Evaluator
-
-        evaluator = Evaluator("sun-ethernet", **_TINY)
-        evaluator.app_params["montecarlo"]["samples"] = 10**9
-        evaluator.tools.append("mpi")
-        assert evaluator.app_params["montecarlo"]["samples"] == 5_000
-        assert evaluator.tools == ["express", "p4", "pvm"]
-
-    def test_measure_tpl_does_not_simulate_applications(self):
-        from repro.core import Evaluator
-
-        evaluator = Evaluator("sun-ethernet", **_TINY)
-        sets = evaluator.measure_tpl()
-        assert sets
-        tpl_jobs = evaluator._spec.tpl_jobs("sun-ethernet", 0)
-        assert evaluator._scheduler.simulations_run == len(tpl_jobs)

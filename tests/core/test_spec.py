@@ -62,6 +62,17 @@ class TestValidation:
         assert DEFAULT_APP_PARAMS["jpeg"]["height"] == 256
         assert EvaluationSpec().app_params["jpeg"]["height"] == 256
 
+    def test_caller_inputs_never_alias_the_spec(self):
+        """Mutating the containers a spec was built from cannot
+        desync the spec (or the jobs it expands into)."""
+        tools = ["p4", "pvm"]
+        params = {"montecarlo": {"samples": 5_000}}
+        spec = EvaluationSpec(tools=tools, app_params=params)
+        tools.append("express")
+        params["montecarlo"]["samples"] = 10**9
+        assert spec.tools == ("p4", "pvm")
+        assert spec.app_params["montecarlo"]["samples"] == 5_000
+
 
 class TestJobExpansion:
     def test_job_count_and_grid(self):

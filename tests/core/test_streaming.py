@@ -20,14 +20,8 @@ from repro.core.progress import (
     Progress,
     RunCompleted,
 )
-from repro.core.scheduler import (
-    AsyncExecutor,
-    Executor,
-    JobOutcome,
-    ProcessPoolExecutor,
-    RunHandle,
-    Scheduler,
-)
+from repro.core.executors import Executor, JobOutcome, ProcessPoolExecutor
+from repro.core.scheduler import RunHandle, Scheduler
 from repro.core.spec import EvaluationSpec
 from repro.errors import EvaluationError, RunCancelled
 
@@ -347,11 +341,13 @@ class TestCancel:
         assert isinstance(events[-1], RunCompleted)
         assert events[-1].cancelled
 
-    def test_cancel_with_async_backend(self, tmp_path):
-        spec = tiny_spec()
+    def test_cancel_with_process_pool_backend(self, tmp_path):
+        # 60 jobs: more than the pool's admission window (32 jobs at
+        # two workers), so the cancel lands while jobs are undispatched.
+        spec = tiny_spec(platforms=("sun-ethernet", "sun-atm-lan"), seeds=(0, 1))
         cache_dir = str(tmp_path / "cache")
         with Scheduler(
-            executor=AsyncExecutor(max_workers=2), cache_dir=cache_dir
+            executor=ProcessPoolExecutor(max_workers=2), cache_dir=cache_dir
         ) as scheduler:
             handle = self._start_and_cancel_after(scheduler, spec, finished_jobs=2)
             with pytest.raises(RunCancelled):

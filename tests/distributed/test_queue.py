@@ -122,6 +122,16 @@ class TestLeases:
         queue.claim("w1")
         assert queue.reclaim_stale() == 0
 
+    def test_lease_starts_at_claim_not_enqueue(self, tmp_path):
+        """A ticket that waited in jobs/ longer than the lease is not
+        stale the moment it is claimed (the rename keeps its mtime)."""
+        queue = make_queue(tmp_path, lease_timeout=10.0)
+        queue.enqueue("t-000", JOB)
+        backdate(os.path.join(queue.root, "jobs", "t-000.json"), 60.0)
+        queue.claim("w1")
+        assert queue.reclaim_stale() == 0
+        assert queue.claimed() == ["t-000"]
+
     def test_completion_after_reclaim_is_harmless(self, tmp_path):
         """The dead-but-not-really worker completes *after* its lease
         was stolen: its outcome still publishes (deterministic value,

@@ -82,6 +82,13 @@ class TestHealthAndErrors:
         )
         assert status == 400
         assert "spec" in data["error"]
+        status, data = raw_request(
+            port, "POST", "/api/runs", body=b"{}",
+            headers={"Content-Length": "abc"},
+        )
+        assert status == 400
+        assert "content-length" in data["error"]
+        assert harness.client().health()["status"] == "ok"
 
     def test_invalid_spec_is_rejected_with_the_reason(self, harness_factory):
         harness = harness_factory()

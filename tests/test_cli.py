@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import argparse
+import subprocess
+import sys
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.core.executors import EXECUTOR_BACKENDS
 
 
 class TestList:
@@ -119,6 +124,18 @@ class TestEvaluate:
         with pytest.raises(SystemExit):
             main(["evaluate", "--backend", "quantum"])
 
+    @pytest.mark.parametrize("command", ["evaluate", "serve"])
+    def test_backend_choices_match_executor_backends(self, command):
+        commands = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        backend = next(
+            action for action in commands.choices[command]._actions
+            if "--backend" in action.option_strings
+        )
+        assert tuple(backend.choices) == EXECUTOR_BACKENDS
+
     @pytest.mark.slow
     def test_progress_streams_to_stderr_and_keeps_stdout_clean(self, capsys):
         assert main(["evaluate", "--tools", "p4", "--processors", "2",
@@ -129,10 +146,9 @@ class TestEvaluate:
         assert "Best tool" in captured.out
         assert "simulated" not in captured.out
 
-    @pytest.mark.slow
-    def test_async_backend_end_to_end(self, capsys):
+    def test_process_backend_end_to_end(self, capsys):
         assert main(["evaluate", "--tools", "p4", "--processors", "2",
-                     "--backend", "async", "--jobs", "2"]) == 0
+                     "--backend", "process", "--jobs", "2"]) == 0
         assert "Best tool" in capsys.readouterr().out
 
     def test_shards_without_cache_dir_is_harmless(self, capsys):
@@ -195,3 +211,19 @@ class TestNoCommand:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
+
+
+def test_cli_and_core_imports_leave_asyncio_out():
+    """Only ``repro serve`` needs asyncio; importing the CLI and the
+    core package must not pay for it."""
+    import os
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = "import sys, repro.cli, repro.core; print('asyncio' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=src),
+    ).stdout
+    assert out.strip() == "False"
